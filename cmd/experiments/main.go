@@ -48,7 +48,6 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 		replay   = flag.Bool("replay", true, "record each workload stream once and replay it across schemes and cells")
 		traceDir = flag.String("tracedir", "", "persist recordings to this directory and reuse them across runs (implies -replay)")
-		monoOn   = flag.Bool("mono", true, "use the monomorphized per-scheme access loop; -mono=false forces interface dispatch (byte-identical output, slower)")
 		actorAL  = flag.String("actorlearner", "inline", "CHROME update path: inline | seq | par (seq and par are byte-identical at equal seeds)")
 		shards   = flag.Int("actorshards", 0, "shard the CHROME actor pool across N workers (requires -actorlearner par; 0 = unsharded)")
 		stale    = flag.Int("staleness", 0, "epoch boundaries the adopted decision snapshot may lag the learner (deterministic at every bound)")
@@ -120,7 +119,6 @@ func main() {
 	}
 	sc.Parallelism = *jobs
 	sc.NoReplay = !*replay && *traceDir == ""
-	sc.NoMono = !*monoOn
 	sc.ActorLearner = *actorAL
 	sc.ActorShards = *shards
 	sc.SnapshotStaleness = *stale
@@ -180,8 +178,8 @@ func main() {
 
 	// Throughput numbers are only comparable with the environment pinned;
 	// report it up front so every sim_MIPS figure below is attributable.
-	fmt.Printf("env: %s, GOMAXPROCS=%d, access loop=%s%s\n\n",
-		runtime.Version(), runtime.GOMAXPROCS(0), accessLoop(sc), samplingNote(sc))
+	fmt.Printf("env: %s, GOMAXPROCS=%d%s\n\n",
+		runtime.Version(), runtime.GOMAXPROCS(0), samplingNote(sc))
 
 	start := time.Now()
 	var all []experiments.Report
@@ -213,17 +211,6 @@ func main() {
 		}
 		fmt.Println("wrote", *mdOut)
 	}
-}
-
-// accessLoop names the cache access chain the Scale selects: the
-// monomorphized per-scheme loop (default) or the interface-dispatched
-// fallback (-mono=false). Schemes outside the mono registry fall back to
-// interface dispatch regardless; all registered schemes honour this.
-func accessLoop(sc experiments.Scale) string {
-	if sc.NoMono {
-		return "interface"
-	}
-	return "mono"
 }
 
 // samplingNote renders the active interval-sampling knobs, or nothing for

@@ -63,11 +63,6 @@ type Scale struct {
 	// adoption). Deterministic at every bound; non-zero bounds trade
 	// decision freshness for pipeline throughput.
 	SnapshotStaleness int
-	// NoMono forces the interface-dispatched cache chain instead of the
-	// monomorphized per-scheme access loop (DESIGN.md §9). Byte-identical
-	// output either way (TestMonoMatchesInterface); used by the CI
-	// equivalence gate and for attributing measured throughput.
-	NoMono bool
 	// Sampling selects the measurement strategy: "" or "none" simulates the
 	// full warmup+measure budget exactly (byte-identical to before the knob
 	// existed); "simpoint" profiles the recordings in fixed-instruction
@@ -439,7 +434,6 @@ func (sc Scale) newMixSystem(gens []trace.Generator, cores int, scheme Scheme, p
 	cfg := sim.ScaledConfig(cores)
 	cfg.L1Prefetcher = pf.L1
 	cfg.L2Prefetcher = pf.L2
-	cfg.NoMono = sc.NoMono
 	factory := scheme.Factory
 	var made []cache.Policy
 	if mode := sc.learnerMode(); mode != chrome.LearnerInline {

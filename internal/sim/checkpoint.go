@@ -57,13 +57,8 @@ func (s *System) saveState(enc *state.Enc) error {
 			return fmt.Errorf("core %d: %w", i, err)
 		}
 	}
-	levels := s.checkpointLevels()
-	for _, lv := range levels {
-		ck, ok := lv.level.(cache.Checkpointable)
-		if !ok {
-			return fmt.Errorf("%s does not support checkpointing", lv.name)
-		}
-		if err := ck.SaveState(enc); err != nil {
+	for _, lv := range s.checkpointLevels() {
+		if err := lv.level.SaveState(enc); err != nil {
 			return fmt.Errorf("%s: %w", lv.name, err)
 		}
 		pck, ok := lv.level.Policy().(cache.Checkpointable)
@@ -112,11 +107,7 @@ func (s *System) loadState(dec *state.Dec) error {
 		}
 	}
 	for _, lv := range s.checkpointLevels() {
-		ck, ok := lv.level.(cache.Checkpointable)
-		if !ok {
-			return fmt.Errorf("%s does not support checkpointing", lv.name)
-		}
-		if err := ck.LoadState(dec); err != nil {
+		if err := lv.level.LoadState(dec); err != nil {
 			return fmt.Errorf("%s: %w", lv.name, err)
 		}
 		pck, ok := lv.level.Policy().(cache.Checkpointable)
@@ -162,7 +153,7 @@ func (s *System) loadState(dec *state.Dec) error {
 // the fixed serialization order (per-core L1 then L2, then the LLC).
 type namedLevel struct {
 	name  string
-	level cache.Level
+	level *cache.Cache
 }
 
 func (s *System) checkpointLevels() []namedLevel {
