@@ -99,12 +99,7 @@ func Analyzers() []*Analyzer {
 		analyzerFrozenShare(),
 		analyzerUnits(),
 		analyzerHwWidth(),
-		analyzerSnapshotRO(),
-		analyzerMsgOwn(),
-		analyzerLearnerWrite(),
-		analyzerShardOwn(),
 		analyzerJoinSync(),
-		analyzerStaleBound(),
 		analyzerGuardedBy(),
 		analyzerLockOrder(),
 		analyzerHotBlock(),

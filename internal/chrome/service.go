@@ -24,8 +24,7 @@ type Decision struct {
 
 // Step drives one request through the full pipeline: accuracy rewards for
 // sampled sets, state extraction (exactly once per request), action
-// selection against the live table or the epoch snapshot, action
-// histograms, and EQ recording with not-re-referenced rewards on
+// selection against the live table, action histograms, and EQ recording with not-re-referenced rewards on
 // overflow. It is Victim (hit=false) and OnHit (hit=true) with the
 // simulator's block-array bookkeeping lifted away; the caller applies the
 // decision to its own store. The set index folds the address onto the
@@ -40,7 +39,7 @@ func (a *Agent) Step(acc mem.Access, hit bool) Decision {
 		a.assignAccuracyReward(q, acc, hit)
 	}
 	st := a.state(acc, hit)
-	act := a.choose(st, hit, acc.Core)
+	act := a.choose(st, hit)
 	if hit {
 		a.stats.HitActions[pfIndex(acc)][act]++
 	} else {

@@ -48,7 +48,7 @@ func homoSweep(profiles []workload.Profile, cores int, schemes []Scheme, pf Pref
 func geomeanSpeedups(results map[string]map[string]sim.Result, schemes []Scheme) map[string]float64 {
 	// Fold profiles in sorted order: float reductions are order-sensitive at
 	// the ulp level, and the rendered output must be byte-identical across
-	// runs (the actor/learner CLI cmp gate compares whole CSVs).
+	// runs (the golden CSV gates compare whole CSVs).
 	profiles := make([]string, 0, len(results))
 	for name := range results {
 		profiles = append(profiles, name)

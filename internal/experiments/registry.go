@@ -46,10 +46,8 @@ func Runners() []Runner {
 		{"fig09", "Bypass coverage and efficiency", Fig9},
 		{"fig10", "4-core heterogeneous mixes", Fig10},
 		{"fig11", "Scalability 4/8/16 cores", Fig11},
-		{"fig11ext", "Extension: scalability at 16/32/64 cores", Fig11Ext},
 		{"fig12", "CHROME vs N-CHROME", Fig12},
 		{"fig13", "GAP unseen workloads", Fig13},
-		{"staleness", "Extension: snapshot staleness sweep", StalenessSweep},
 		{"fig14", "Alternative prefetching schemes", Fig14},
 		{"fig15", "State-feature ablation", Fig15},
 		{"fig16", "Hyper-parameter sensitivity", Fig16},

@@ -192,3 +192,21 @@ func TestValidateSampling(t *testing.T) {
 		t.Errorf("default scale rejected: %v", err)
 	}
 }
+
+// TestScaleValidate covers the friendly-error path CLI flag validation
+// reports through: the zero and preset scales validate, and a bad selector
+// names the valid modes instead of panicking deep in a runner.
+func TestScaleValidate(t *testing.T) {
+	for _, sc := range []Scale{{}, QuickScale(), FullScale(), {Sampling: "none"}} {
+		if err := sc.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", sc, err)
+		}
+	}
+	err := Scale{Sampling: "bogus"}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "none, simpoint") {
+		t.Fatalf("unknown sampling mode error should list valid modes, got %v", err)
+	}
+	if strings.Contains(err.Error(), "panic") {
+		t.Fatalf("error leaks panic text: %v", err)
+	}
+}

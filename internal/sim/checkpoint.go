@@ -246,7 +246,7 @@ func fnv1a(b []byte) uint64 {
 
 // SaveCheckpoint writes the system's full state as a framed .chkp stream.
 // It errors without writing when any component cannot be checkpointed
-// (live generators, measurement trackers, actor/learner agents).
+// (live generators, measurement trackers).
 func (s *System) SaveCheckpoint(w io.Writer) error {
 	enc := state.NewEnc(1 << 20)
 	if err := s.saveState(enc); err != nil {
